@@ -1,14 +1,22 @@
 """Machine-speed normalization for every reported time.
 
 The benchmark shares its machine with other work, and the machine's
-speed drifts by a quarter or more from one minute to the next.  Wall
-times taken minutes apart then differ by more than any bound a
-regression check could use.  So each phase of a run also times a fixed
-pure-Python reference loop, sampled between ops, and every time the
-phase reports is scaled by ``REFERENCE_MS / median(loop times)``: times
-read as milliseconds on a machine where the loop takes exactly
-``REFERENCE_MS``.  The raw loop median is printed next to the result, so
-raw times can always be recovered.
+speed is not one number.  On the two-core host it was sized on, a fixed
+loop of interpreter work switches between a fast and a slow mode (about
+1.9 and 3.1 ms) from one sample to the next and stays in one mode for
+anything from tens of milliseconds to seconds; every layer of the
+program slows by the same factor.  Scaling a whole run by one median
+loop time then jumps by the ratio of the two modes whenever the run
+spends about half its time in each, and a tail percentile of raw times
+counts how long the run spent in the slow mode.
+
+So every timed request runs between two samples of a fixed pure-Python
+reference loop, and its time is scaled by ``REFERENCE_MS / mean(the two
+samples)``: it reads as milliseconds on a machine where the loop takes
+exactly ``REFERENCE_MS``, at the speed the machine had while it ran.  A
+sample that ended a moment ago is reused as the next request's first
+sample.  The raw loop median of each phase is printed next to the
+result, and scales what the traced run reports.
 
 Interference from other work does not slow every kind of work alike:
 arithmetic alone tracked the slowdowns of the cache-hit path less well
@@ -21,10 +29,17 @@ scaled times.
 
 from __future__ import annotations
 
+import math
 import statistics
 import time
+from typing import Callable, TypeVar
+
+T = TypeVar("T")
 
 REFERENCE_MS = 1.0
+#: A sample that ended less than this long ago still describes the
+#: machine, so the next request uses it as its first sample.
+FRESH_S = 0.002
 
 
 def reference_loop() -> int:
@@ -45,11 +60,32 @@ class Calibration:
 
     def __init__(self) -> None:
         self.samples_ms: list[float] = []
+        self._ended = -math.inf
 
-    def sample(self) -> None:
+    def sample(self) -> float:
+        """Time the reference loop once; return the time in ms."""
         t0 = time.perf_counter()
         reference_loop()
-        self.samples_ms.append((time.perf_counter() - t0) * 1e3)
+        t1 = time.perf_counter()
+        self.samples_ms.append((t1 - t0) * 1e3)
+        self._ended = t1
+        return self.samples_ms[-1]
+
+    def latest(self) -> float:
+        """The last sample if it ended within ``FRESH_S``, else a new one."""
+        if time.perf_counter() - self._ended < FRESH_S:
+            return self.samples_ms[-1]
+        return self.sample()
+
+    def call(self, fn: Callable[..., T], *args, **kwargs) -> tuple[T, float]:
+        """``fn(*args, **kwargs)`` and its time in scaled ms, taken
+        between two reference samples.  An exception propagates."""
+        before = self.latest()
+        t0 = time.perf_counter()
+        out = fn(*args, **kwargs)
+        ms = (time.perf_counter() - t0) * 1e3
+        after = self.sample()
+        return out, ms * REFERENCE_MS / ((before + after) / 2)
 
     @property
     def loop_ms(self) -> float:

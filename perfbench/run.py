@@ -33,6 +33,9 @@ SETUPS = 3
 SETUP_SAMPLES = 10
 #: Seconds of ops between two side probes (see :func:`timed_phase`).
 SIDE_EVERY = 0.05
+#: Span name of a reference-loop sample in the traced half; it is the
+#: benchmark's own work, so it counts as neither a layer nor residual.
+CALIBRATE = "calibrate"
 
 _LAYERS_MS = (
     ("workflow.self_ms", "workflow"),
@@ -77,10 +80,11 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     return args
 
 
-def timed_phase(workload, rec, seconds: float, cal: Calibration) -> None:
-    """Run ops until ``seconds`` have passed.  Every ``SIDE_EVERY``
-    seconds, between two ops, run the workload's side probe and take a
-    reference-loop sample; neither counts as op time."""
+def timed_phase(workload, rec, seconds: float, clock) -> None:
+    """Run ops until ``seconds`` have passed, timing every request with
+    ``clock``.  Every ``SIDE_EVERY`` seconds, between two ops, run the
+    workload's side probe; it does not count as op time."""
+    workload.clock = clock
     now = time.perf_counter()
     deadline = now + seconds
     next_side = now
@@ -95,7 +99,6 @@ def timed_phase(workload, rec, seconds: float, cal: Calibration) -> None:
             if rec is not None:
                 rec.request = None
             workload.side()
-            cal.sample()
             now = time.perf_counter()
             next_side = now + SIDE_EVERY
 
@@ -106,29 +109,30 @@ def counters(registry) -> dict[str, int]:
     return {name: registry.counter(name).value for name in names}
 
 
-def end_to_end(workload, setup_s: float, k: float, outcome: dict) -> dict:
-    """End-to-end metrics; ``k`` scales the timed phase's times."""
+def end_to_end(workload, setup_s: float, outcome: dict) -> dict:
+    """End-to-end metrics; the workload's times are already scaled."""
     from quantiles import median, percentile
 
     answers, batches, ingests = workload.answer_ms, workload.batch_ms, workload.ingest_ms
     return {
         "setup_s": (setup_s, "s"),
-        "answer_p50_ms": (k * median(answers), "ms"),
-        "answer_p95_ms": (k * percentile(answers, 95), "ms"),
-        "qps": (workload.answered / (k * math.fsum(workload.op_ms) / 1e3), "1/s"),
-        "batch_p50_ms": (k * median(batches), "ms"),
-        "batch_p90_ms": (k * percentile(batches, 90), "ms"),
-        "ingest_p50_ms": (k * median(ingests), "ms"),
-        "ingest_p75_ms": (k * percentile(ingests, 75), "ms"),
+        "answer_p50_ms": (median(answers), "ms"),
+        "answer_p95_ms": (percentile(answers, 95), "ms"),
+        "qps": (workload.answered / (math.fsum(workload.op_ms) / 1e3), "1/s"),
+        "batch_p50_ms": (median(batches), "ms"),
+        "batch_p90_ms": (percentile(batches, 90), "ms"),
+        "ingest_p50_ms": (median(ingests), "ms"),
+        "ingest_p75_ms": (percentile(ingests, 75), "ms"),
         "rubric_mean": (outcome["rubric"], "score"),
         "success_rate": (1.0 - workload.failed / workload.attempted, "ratio"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, "MB"),
     }
 
 
-def per_layer(rec, cals: dict, untraced_op_ms: list[float], before: dict, after: dict) -> dict:
-    """Per-layer metrics of the traced half; each phase's calibration in
-    ``cals`` scales the times measured in that phase."""
+def per_layer(rec, cals: dict, op_ms: dict[str, list[float]], before: dict, after: dict) -> dict:
+    """Per-layer metrics of the traced half.  Span times are scaled by
+    their phase's median reference sample in ``cals``; ``op_ms`` holds
+    each half's op times, already scaled request by request."""
     from quantiles import TooFewSamples, median
     from spans import self_time_by_name
 
@@ -153,14 +157,11 @@ def per_layer(rec, cals: dict, untraced_op_ms: list[float], before: dict, after:
         out[f"{metric}_lookups"] = (lookups, "count")
     out["ingest.chunks_embedded"] = (delta["repro.ingest.chunks_embedded"] / n, "count")
     out["pipeline.runs"] = (sum(1 for s in timed if s.name == "pipeline"), "count")
-    op_ms = [s.duration * 1e3 for s in ops]
-    layers_ms = sum(t for name, t in own.items() if name != "op") / n * 1e3
     out["trace.ops"] = (n, "count")
-    out["trace.residual_ms"] = (k * (statistics.fmean(op_ms) - layers_ms), "ms")
-    out["trace.overhead_ms"] = (
-        k * median(op_ms) - cals["untraced"].factor * median(untraced_op_ms),
-        "ms",
-    )
+    # What no layer covers of an op; reference samples inside the op are
+    # its children, so the op's own self time already leaves them out.
+    out["trace.residual_ms"] = (k * own["op"] / n * 1e3, "ms")
+    out["trace.overhead_ms"] = (median(op_ms["traced"]) - median(op_ms["untraced"]), "ms")
     out["machine.loop_ms"] = (cals["traced"].loop_ms, "ms")
     return out
 
@@ -203,20 +204,24 @@ def main(argv: list[str] | None = None) -> int:
                 timed_phase(workload, None, args.seconds, cals["untraced"])
             else:
                 timed_phase(workload, None, args.seconds / 2, cals["untraced"])
-                untraced_op_ms = list(workload.op_ms)
+                untraced = len(workload.op_ms)
                 before = counters(registry)
-                undo = instrument(rec, layer_targets())
+                undo = instrument(
+                    rec, [*layer_targets(), (Calibration, "sample", CALIBRATE, None)]
+                )
                 try:
                     timed_phase(workload, rec, args.seconds / 2, cals["traced"])
                 finally:
                     undo()
                 after = counters(registry)
+                op_ms = {"untraced": workload.op_ms[:untraced],
+                         "traced": workload.op_ms[untraced:]}
             outcome = workload.finish()
             if rec is None:
                 setup = cals["setup"].factor * statistics.median(setup_s)
-                metrics = end_to_end(workload, setup, cals["untraced"].factor, outcome)
+                metrics = end_to_end(workload, setup, outcome)
             else:
-                metrics = per_layer(rec, cals, untraced_op_ms, before, after)
+                metrics = per_layer(rec, cals, op_ms, before, after)
                 rec.write(OUT / f"{args.workload}-seed{args.seed}-spans.jsonl")
     except (TooFewSamples, WorkloadError) as exc:
         print(f"error: {args.workload}: {exc}", file=sys.stderr)

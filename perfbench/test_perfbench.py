@@ -14,6 +14,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import calibrate  # noqa: E402
 from inputs import (  # noqa: E402
     CLOSERS,
     NOTES,
@@ -171,3 +172,23 @@ def test_instrument_wraps_and_restores():
     undo()
     assert Owner.__dict__["outer"] is original
     assert [s.name for s in rec.spans] == ["inner", "outer"]
+
+
+# ------------------------------------------------------------ calibration
+def test_call_scales_by_the_bracketing_samples(monkeypatch):
+    # Clock readings in seconds, in the order Calibration.call reads them.
+    ticks = iter([
+        0.0,             # freshness check: no sample yet
+        0.0, 0.004,      # first sample: 4 ms
+        0.004, 0.010,    # the request: 6 ms
+        0.010, 0.012,    # second sample: 2 ms
+        0.0125,          # freshness check: the 2 ms sample is reused
+        0.013, 0.014,    # the request: 1 ms
+        0.014, 0.016,    # next sample: 2 ms
+    ])
+    monkeypatch.setattr(calibrate.time, "perf_counter", lambda: next(ticks))
+    monkeypatch.setattr(calibrate, "reference_loop", lambda: 0)
+    clock = calibrate.Calibration()
+    assert clock.call(lambda x: x + 1, 1) == (2, pytest.approx(6 / 3))
+    assert clock.call(lambda: None) == (None, pytest.approx(1 / 2))
+    assert clock.samples_ms == pytest.approx([4, 2, 2])

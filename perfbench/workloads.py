@@ -9,15 +9,18 @@ A workload object goes through ``setup`` (timed, several times),
 ``warmup`` (untimed), repeated ``step`` calls (the timed phase), then
 ``finish`` (untimed checks).  One ``step`` is one *op*: an ask on
 ``cold_qa``, one batch on ``hot_batch``, one write-then-read cycle on
-``ingest_mix``.
+``ingest_mix``.  Every request in an op is timed through the workload's
+``clock`` (see :mod:`calibrate`), so every time a workload keeps is
+already scaled to the reference machine; an op's time is the sum of its
+requests' times.
 """
 
 from __future__ import annotations
 
 import hashlib
-import time
 from contextlib import contextmanager
 
+from calibrate import Calibration
 from inputs import edit_schedule, permutation_stream, question_variants, zipf_batches
 from spans import Recorder
 
@@ -110,6 +113,8 @@ class Workload:
         self.ingest_ms: list[float] = []
         self.op_ms: list[float] = []
         self.answered = 0
+        #: Times every request; the runner gives each phase its own.
+        self.clock = Calibration()
 
     # ------------------------------------------------------------ set-up
     def setup(self, rec: Recorder | None) -> None:
@@ -154,13 +159,11 @@ class Workload:
     def ask(self, text: str):
         """One timed ``workflow.ask``; ``None`` when it failed."""
         self.attempted += 1
-        t0 = time.perf_counter()
         try:
-            out = self.workflow.ask(text)
+            out, ms = self.clock.call(self.workflow.ask, text)
         except Exception as exc:  # a request failure is counted, not fatal
             self.fail(f"{type(exc).__name__}: {exc}: {text!r}")
             return None
-        ms = (time.perf_counter() - t0) * 1e3
         self.answer_ms.append(ms)
         self.batch_ms.append(ms)
         reason = self.fault(out.result)
@@ -175,12 +178,14 @@ class Workload:
         corpus, which must be a no-op that leaves the caches alone.  One
         sample is the mean of a short burst, so it does not hinge on how
         much of the cache the op before it happened to evict."""
-        t0 = time.perf_counter()
-        for _ in range(NOOP_BURST):
-            report = lifecycle.ingest_corpus(self.engine, self.bundle)
+        reports, ms = self.clock.call(self.noop_burst)
+        for report in reports:
             if report.resolution != "noop":
                 self.problems.append(f"unchanged corpus ingested as {report.resolution}")
-        self.ingest_ms.append((time.perf_counter() - t0) * 1e3 / NOOP_BURST)
+        self.ingest_ms.append(ms / NOOP_BURST)
+
+    def noop_burst(self) -> list:
+        return [lifecycle.ingest_corpus(self.engine, self.bundle) for _ in range(NOOP_BURST)]
 
     def check_read_only(self) -> None:
         if self.engine.epoch != 0:
@@ -215,10 +220,10 @@ class ColdQA(Workload):
 
     def step(self, rec) -> None:
         qi, text = next(self.stream)
-        t0 = time.perf_counter()
+        first = len(self.answer_ms)
         with span(rec, "op"):
             out = self.ask(text)
-        self.op_ms.append((time.perf_counter() - t0) * 1e3)
+        self.op_ms.extend(self.answer_ms[first:])
         if out is not None and len(self.prefix) < PREFIX_PASSES * len(self.texts):
             self.prefix.append((qi, text, out.answer))
 
@@ -270,15 +275,13 @@ class HotBatch(Workload):
     def step(self, rec) -> None:
         indices = next(self.draws)
         self.attempted += len(indices)
-        t0 = time.perf_counter()
         try:
             with span(rec, "op"):
-                result = self.batch(indices)
+                result, ms = self.clock.call(self.batch, indices)
         except Exception as exc:  # a batch failure is counted, not fatal
             for _ in indices:
                 self.fail(f"batch {type(exc).__name__}: {exc}")
             return
-        ms = (time.perf_counter() - t0) * 1e3
         self.op_ms.append(ms)
         self.batch_ms.append(ms)
         # Every question in a batch reaches its caller when the batch
@@ -348,16 +351,18 @@ class IngestMix(Workload):
 
     def cycle(self, rec, timed: bool) -> None:
         revised = self.revised()
-        t0 = time.perf_counter()
+        first_read = len(self.answer_ms)
+        op_ms = 0.0
         with span(rec, "op"):
             self.attempted += 1
-            t_ingest = time.perf_counter()
             try:
-                report = lifecycle.ingest_corpus(self.engine, revised)
+                report, ms = self.clock.call(lifecycle.ingest_corpus, self.engine, revised)
             except Exception as exc:  # an ingest failure is counted, not fatal
                 self.fail(f"ingest {type(exc).__name__}: {exc}")
                 report = None
-            self.ingest_ms.append((time.perf_counter() - t_ingest) * 1e3)
+            else:
+                self.ingest_ms.append(ms)
+                op_ms += ms
             if report is not None and report.resolution != "delta":
                 self.fail(f"cycle {self.cycles} ingested as {report.resolution}")
             reads = []
@@ -365,7 +370,7 @@ class IngestMix(Workload):
                 qi = next(self.reads)
                 out = self.ask(self.texts[qi])
                 reads.append((qi, out.answer if out is not None else ""))
-        self.op_ms.append((time.perf_counter() - t0) * 1e3)
+        self.op_ms.append(op_ms + sum(self.answer_ms[first_read:]))
         self.final = revised
         if timed and len(self.prefix) < PREFIX_CYCLES:
             self.prefix.append((report.digest if report else "", reads))
