@@ -149,8 +149,12 @@ class SimulatedChatModel(ChatModel):
             return self._answer_grounded(question, context)
         return self._answer_unassisted(question)
 
+    def _context_facts(self, context: str) -> list[Fact]:
+        """The registered facts ``context`` asserts, in registry order."""
+        return self.registry.facts_in(context)
+
     def _answer_grounded(self, question: str, context: str) -> str:
-        context_facts = self.registry.facts_in(context)
+        context_facts = self._context_facts(context)
         # Retrieval already filtered the material, so the model reads it
         # generously: everything plausibly related to the question makes
         # it into the answer (the paper's score-4 answers synthesize all
