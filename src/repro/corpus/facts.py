@@ -26,22 +26,78 @@ that unrelated prose does not trigger them.
 
 from __future__ import annotations
 
+import functools
 import re
+import threading
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 from repro.errors import CorpusError
+from repro.utils.textproc import sentences
 
 _IDENT_RE = re.compile(r"^[A-Z][A-Za-z0-9_]*$|^-[a-z][a-z0-9_]*$")
+_SPACE_RE = re.compile(r"\s")
+
+#: Most distinct blocks whose fact sets one registry memoizes.
+_BLOCK_MEMO_CAP = 4096
+
+
+@functools.lru_cache(maxsize=None)
+def _term_matcher(term: str) -> tuple[str, Callable[[str], re.Match | None], bool]:
+    """``(needle, boundary search, search the lowered text?)`` for ``term``."""
+    if _IDENT_RE.match(term):
+        pattern = rf"(?<![A-Za-z0-9_]){re.escape(term)}(?![A-Za-z0-9_])"
+        return term, re.compile(pattern).search, False
+    needle = term.lower()
+    pattern = rf"(?<![a-z0-9_]){re.escape(needle)}(?![a-z0-9_])"
+    return needle, re.compile(pattern).search, True
 
 
 def _contains_term(text: str, text_lower: str, term: str) -> bool:
     """Word-boundary containment; identifiers match case-sensitively."""
-    if _IDENT_RE.match(term):
-        return re.search(rf"(?<![A-Za-z0-9_]){re.escape(term)}(?![A-Za-z0-9_])", text) is not None
-    return (
-        re.search(rf"(?<![a-z0-9_]){re.escape(term.lower())}(?![a-z0-9_])", text_lower)
-        is not None
-    )
+    needle, search, lowered = _term_matcher(term)
+    haystack = text_lower if lowered else text
+    # The substring test is a cheap necessary condition for the regex.
+    return needle in haystack and search(haystack) is not None
+
+
+def _has_terms(text: str, text_lower: str, signature: tuple[str, ...]) -> bool:
+    return all(_contains_term(text, text_lower, term) for term in signature)
+
+
+def _lowered_sentences(text: str) -> list[tuple[str, str]]:
+    return [(sent, sent.lower()) for sent in sentences(text)]
+
+
+def _in_one_sentence(sents: list[tuple[str, str]], signature: tuple[str, ...]) -> bool:
+    return any(_has_terms(sent, sl, signature) for sent, sl in sents)
+
+
+def _asserts(signature: tuple[str, ...], text: str, text_lower: str | None) -> bool:
+    tl = text.lower() if text_lower is None else text_lower
+    return _has_terms(text, tl, signature) and _in_one_sentence(_lowered_sentences(text), signature)
+
+
+def _asserted(items: Iterable[Fact] | Iterable[Falsehood], text: str) -> list:
+    """The ``items`` whose signature ``text`` asserts.
+
+    Every term must occur in the raw text, and all terms must co-occur
+    within one (whitespace-normalised) sentence, so assembling the terms
+    from *different* statements in a longer text does not count.  The
+    text is split into sentences once, and only if some item passes the
+    raw check.
+    """
+    tl = text.lower()
+    sents: list[tuple[str, str]] | None = None
+    out = []
+    for item in items:
+        if not _has_terms(text, tl, item.signature):
+            continue
+        if sents is None:
+            sents = _lowered_sentences(text)
+        if _in_one_sentence(sents, item.signature):
+            out.append(item)
+    return out
 
 
 @dataclass(frozen=True)
@@ -85,20 +141,7 @@ class Fact:
         within one sentence, so assembling the terms from *different*
         statements in a longer text does not count as asserting the fact.
         """
-        tl = text.lower() if text_lower is None else text_lower
-        if not all(_contains_term(text, tl, term) for term in self.signature):
-            return False
-        return _signature_in_one_sentence(text, self.signature)
-
-
-def _signature_in_one_sentence(text: str, signature: tuple[str, ...]) -> bool:
-    from repro.utils.textproc import sentences  # local import to avoid a cycle
-
-    for sent in sentences(text):
-        sl = sent.lower()
-        if all(_contains_term(sent, sl, term) for term in signature):
-            return True
-    return False
+        return _asserts(self.signature, text, text_lower)
 
 
 @dataclass(frozen=True)
@@ -125,10 +168,7 @@ class Falsehood:
 
     def appears_in(self, text: str, text_lower: str | None = None) -> bool:
         """Sentence-scoped assertion check (see :meth:`Fact.appears_in`)."""
-        tl = text.lower() if text_lower is None else text_lower
-        if not all(_contains_term(text, tl, term) for term in self.signature):
-            return False
-        return _signature_in_one_sentence(text, self.signature)
+        return _asserts(self.signature, text, text_lower)
 
 
 @dataclass
@@ -138,10 +178,17 @@ class FactRegistry:
     facts: dict[str, Fact] = field(default_factory=dict)
     falsehoods: dict[str, Falsehood] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # Block text -> (facts it asserts, facts it asserts only up to
+        # whitespace inside a multi-word term); see facts_in_blocks.
+        self._block_memo: dict[str, tuple[frozenset[str], frozenset[str]]] = {}
+        self._block_memo_lock = threading.Lock()
+
     def add_fact(self, fact: Fact) -> Fact:
         if fact.fact_id in self.facts:
             raise CorpusError(f"duplicate fact id {fact.fact_id!r}")
         self.facts[fact.fact_id] = fact
+        self._block_memo.clear()
         return fact
 
     def add_falsehood(self, falsehood: Falsehood) -> Falsehood:
@@ -167,13 +214,59 @@ class FactRegistry:
 
     def facts_in(self, text: str) -> list[Fact]:
         """All registered facts asserted by ``text``."""
-        tl = text.lower()
-        return [f for f in self.facts.values() if f.appears_in(text, tl)]
+        return _asserted(self.facts.values(), text)
 
     def falsehoods_in(self, text: str) -> list[Falsehood]:
         """All registered falsehoods asserted by ``text``."""
-        tl = text.lower()
-        return [f for f in self.falsehoods.values() if f.appears_in(text, tl)]
+        return _asserted(self.falsehoods.values(), text)
+
+    def facts_in_blocks(self, text: str, blocks: Iterable[str]) -> list[Fact]:
+        """``facts_in(text)``, assembled from per-block fact sets.
+
+        ``blocks`` are pieces of ``text`` cut only at line breaks and
+        together holding every line of it.  Sentences never cross a line
+        break, so a fact asserted by ``text`` is asserted within one
+        block, except that a block may spell a multi-word term with
+        another whitespace run than the raw-text check needs; such facts
+        are confirmed against the whole ``text``.  Each block's scan is
+        memoized on its exact text, so a chunk that recurs across
+        contexts, at any rank, is scanned once.
+        """
+        hits: set[str] = set()
+        respaced: set[str] = set()
+        for block in blocks:
+            found, maybe = self._block_facts(block)
+            hits |= found
+            respaced |= maybe
+        respaced -= hits
+        if respaced:
+            tl = text.lower()
+            hits.update(f for f in respaced if _has_terms(text, tl, self.facts[f].signature))
+        return [f for f in self.facts.values() if f.fact_id in hits]
+
+    def _block_facts(self, block: str) -> tuple[frozenset[str], frozenset[str]]:
+        """``block``'s memo entry, scanning the block on a miss."""
+        entry = self._block_memo.get(block)
+        if entry is not None:
+            return entry
+        found = frozenset(f.fact_id for f in self.facts_in(block))
+        # A term without whitespace matches a normalised sentence only
+        # where it matches the raw block, so only facts with a multi-word
+        # term can co-occur in a sentence yet fail the raw check.
+        sents = _lowered_sentences(block)
+        respaced = frozenset(
+            f.fact_id
+            for f in self.facts.values()
+            if f.fact_id not in found
+            and any(_SPACE_RE.search(term) for term in f.signature)
+            and _in_one_sentence(sents, f.signature)
+        )
+        entry = (found, respaced)
+        with self._block_memo_lock:
+            if len(self._block_memo) >= _BLOCK_MEMO_CAP:
+                del self._block_memo[next(iter(self._block_memo))]
+            self._block_memo[block] = entry
+        return entry
 
     def facts_about(self, topic: str) -> list[Fact]:
         """Facts whose topic list contains ``topic`` (case-insensitive)."""

@@ -23,8 +23,12 @@ class TfidfEmbedding(EmbeddingModel):
     model, clearly better than low-dimensional feature hashing.
 
     The projection matrix is materialized lazily one vocabulary row at a
-    time (each row is a seeded Gaussian), so memory stays proportional to
-    the vocabulary actually used.
+    time (each row is a seeded Gaussian).  Only single-text batches —
+    queries — keep their rows: a multi-text batch (an index build)
+    touches nearly the whole vocabulary once, so it shares rows across
+    its texts and then drops them.  The fitted model thus holds a row
+    per *queried* term, not one per vocabulary term (6 KB each, about
+    40 MB for the default corpus).
     """
 
     def __init__(self, *, dim: int = 1536, ngram_max: int = 2, name: str | None = None) -> None:
@@ -66,18 +70,19 @@ class TfidfEmbedding(EmbeddingModel):
             terms.extend(" ".join(g) for g in word_ngrams(tokens, n))
         return terms
 
-    def _projection_row(self, term: str) -> np.ndarray:
-        row = self._rows.get(term)
+    def _projection_row(self, term: str, rows: dict[str, np.ndarray]) -> np.ndarray:
+        row = rows.get(term)
         if row is None:
             rng = np.random.default_rng(derive_seed("tfidf-proj", self.dim, term))
             row = rng.standard_normal(self.dim).astype(np.float32)
-            self._rows[term] = row
+            rows[term] = row
         return row
 
     def _embed_batch(self, texts: list[str]) -> np.ndarray:
         if not self._fitted:
             raise EmbeddingError(f"{self.name} must be fit() before embedding")
         out = np.zeros((len(texts), self.dim), dtype=np.float32)
+        rows = self._rows if len(texts) == 1 else {}
         # Out-of-vocabulary terms are dropped: they cannot match any
         # document, and giving them weight only injects projection noise
         # into the query vector.
@@ -91,6 +96,6 @@ class TfidfEmbedding(EmbeddingModel):
                 dtype=np.float32,
             )
             # Stack the needed projection rows once, then one GEMV.
-            proj = np.stack([self._projection_row(t) for t in terms])
+            proj = np.stack([self._projection_row(t, rows) for t in terms])
             out[row_i] = weights @ proj
         return out

@@ -37,7 +37,7 @@ from repro.llm.latency import LatencyEngine
 from repro.llm.parametric import ParametricKnowledge
 from repro.llm.relevance import RelevanceModel
 from repro.llm.tokens import count_tokens
-from repro.prompts.library import parse_rag_prompt
+from repro.prompts.library import parse_rag_prompt, split_context
 from repro.utils.rng import stable_hash
 from repro.utils.textproc import code_tokens, is_petsc_api_identifier
 
@@ -150,8 +150,12 @@ class SimulatedChatModel(ChatModel):
         return self._answer_unassisted(question)
 
     def _context_facts(self, context: str) -> list[Fact]:
-        """The registered facts ``context`` asserts, in registry order."""
-        return self.registry.facts_in(context)
+        """The registered facts ``context`` asserts, in registry order.
+
+        Equal to ``registry.facts_in(context)``, but read chunk by chunk
+        so each chunk's scan is memoized across prompts.
+        """
+        return self.registry.facts_in_blocks(context, split_context(context))
 
     def _answer_grounded(self, question: str, context: str) -> str:
         context_facts = self._context_facts(context)

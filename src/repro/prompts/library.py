@@ -4,10 +4,13 @@ The RAG prompt uses explicit ``### Context`` / ``### Question`` section
 markers.  :func:`parse_rag_prompt` is the inverse — the simulated chat
 model uses it to recover the context block, and integration tests use it
 to assert on exactly what the pipeline sent to the model.
+:func:`split_context` in turn undoes :func:`format_context`, so the model
+can read the context one retrieved chunk at a time.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from repro.prompts.templates import PromptTemplate
@@ -35,6 +38,7 @@ REVISE_PROMPT = PromptTemplate(
 _CONTEXT_HEADER = "### Context"
 _QUESTION_HEADER = "### Question"
 _GUIDANCE_HEADER = "### Guidance"
+_SOURCE_LINE_RE = re.compile(r"^\[\d+\] source: .*$", re.MULTILINE)
 
 
 def format_context(hits: list[RetrievedDocument]) -> str:
@@ -80,3 +84,22 @@ def parse_rag_prompt(content: str) -> ParsedPrompt:
     elif _QUESTION_HEADER in rest:
         _, _, rest = rest.partition(_QUESTION_HEADER)
     return ParsedPrompt(question=rest.strip(), context=context, guidance=guidance)
+
+
+def split_context(context: str) -> list[str]:
+    """Inverse of :func:`format_context`: its header lines and chunk texts.
+
+    Every cut falls on a line break, so each line of ``context`` lies in
+    exactly one piece, and a chunk's text comes back exactly as retrieved
+    whatever its rank (the final one less any trailing whitespace the
+    prompt parse strips).  Empty pieces are dropped.
+    """
+    pieces: list[str] = []
+    start = 0
+    for header in _SOURCE_LINE_RE.finditer(context):
+        body = context[start : header.start()]
+        pieces.append(body[:-2] if body.endswith("\n\n") else body)
+        pieces.append(header.group())
+        start = header.end() + 1
+    pieces.append(context[start:])
+    return [p for p in pieces if p]

@@ -111,7 +111,8 @@ class InteractionScorer:
         self.focus_chars = focus_chars
         # Document-side features are query-independent; candidates repeat
         # heavily across queries, so cache them (bounded by corpus size).
-        self._doc_cache: dict[int, tuple[list[str], set[str], set[int], set[tuple[str, str]]]] = {}
+        # Keyed on the text itself: equal hashes must never share features.
+        self._doc_cache: dict[str, tuple[list[str], set[str], set[int], set[tuple[str, str]]]] = {}
 
     # ------------------------------------------------------------------ features
     def _coverage(self, q_terms: set[str], d_terms: set[str], d_concepts: set[int]) -> float:
@@ -189,8 +190,7 @@ class InteractionScorer:
 
     # ------------------------------------------------------------------ scoring
     def _doc_features(self, text: str) -> tuple[list[str], set[str], set[int], set[tuple[str, str]]]:
-        key = hash(text)
-        cached = self._doc_cache.get(key)
+        cached = self._doc_cache.get(text)
         if cached is not None:
             return cached
         d_stems = stemmed_tokens(text)
@@ -198,7 +198,7 @@ class InteractionScorer:
         d_concepts = {g for g in (_concept(t) for t in d_terms) if g is not None}
         d_bigrams = set(word_ngrams([stem(t) for t in tokenize_with_stopwords(text)], 2))
         features = (d_stems, d_terms, d_concepts, d_bigrams)
-        self._doc_cache[key] = features
+        self._doc_cache[text] = features
         return features
 
     def score(self, query: str, text: str) -> float:

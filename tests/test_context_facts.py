@@ -1,19 +1,26 @@
 """Exactness of the simulated model's context fact list.
 
 The grounded model reads the registered facts out of its retrieved
-context.  Whatever shortcut it takes, the list must equal
-``FactRegistry.facts_in(context)`` — same facts, same (registry) order —
-for every context the pipelines produce and for any context
-``format_context`` can frame.
+context chunk by chunk, through a per-registry memo of each chunk's
+fact set.  The list must equal ``FactRegistry.facts_in(context)`` —
+same facts, same (registry) order — for every context the pipelines
+produce and for any context ``format_context`` can frame, however the
+memo was filled or evicted and however many threads share it.
 """
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.corpus.facts as facts_module
 from repro.config import RetrievalConfig, WorkflowConfig
+from repro.corpus.facts import default_registry
 from repro.documents import Document
+from repro.engine import QueryEngine
 from repro.evaluation import krylov_benchmark
 from repro.llm.simulated import ModelPersona, SimulatedChatModel
 from repro.pipeline import build_rag_pipeline
@@ -132,7 +139,9 @@ def framed_blocks(bundle):
         st.lists(st.sampled_from(terms), min_size=1, max_size=4).map(" ".join),
     )
     block = st.lists(line, min_size=1, max_size=6).map("\n".join)
-    return st.lists(st.tuples(st.sampled_from(sources), block), min_size=1, max_size=5)
+    # Header lines are sentences of the context too: let some carry facts.
+    source = st.one_of(st.sampled_from(sources), line)
+    return st.lists(st.tuples(source, block), min_size=1, max_size=5)
 
 
 @given(data=st.data())
@@ -140,3 +149,59 @@ def framed_blocks(bundle):
 def test_framed_contexts_match_the_whole_context_scan(data, framed_blocks, registry, model):
     context = framed(data.draw(framed_blocks))
     assert ids(model._context_facts(context)) == ids(registry.facts_in(context))
+
+
+# ---------------------------------------------------------------------------
+# The per-block memo: bounded, and safe under concurrent callers
+# ---------------------------------------------------------------------------
+def test_memo_stays_bounded_and_exact(monkeypatch, chunks):
+    monkeypatch.setattr(facts_module, "_BLOCK_MEMO_CAP", 16)
+    registry = default_registry()
+    texts = [c.text for c in chunks[:56]]
+    for text in texts + texts[:8]:
+        assert ids(registry.facts_in_blocks(text, [text])) == ids(registry.facts_in(text))
+        assert len(registry._block_memo) <= 16
+    assert len(registry._block_memo) == 16
+
+
+def test_memo_is_exact_under_concurrent_callers(monkeypatch, pipeline_contexts):
+    # A small cap makes the threads evict while others read and insert.
+    monkeypatch.setattr(facts_module, "_BLOCK_MEMO_CAP", 64)
+    registry = default_registry()
+    persona = ModelPersona(name="threads-sim", knowledge_rate=0.5, hallucination_rate=0.0)
+    model = SimulatedChatModel(persona, registry)
+    expected = [ids(registry.facts_in(c)) for c in pipeline_contexts]
+    start = threading.Barrier(8)
+
+    def run(offset: int) -> list[list[str]]:
+        start.wait()
+        n = len(pipeline_contexts)
+        order = [(offset * 17 + i) % n for i in range(n)]
+        got = [None] * n
+        for i in order:
+            got[i] = ids(model._context_facts(pipeline_contexts[i]))
+        return got
+
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        results = list(pool.map(run, range(8)))
+    assert all(got == expected for got in results)
+
+
+def test_threads_through_one_service_match_the_sequential_run(bundle, fast_config):
+    questions = [q.text for q in krylov_benchmark()]
+    artifact = QueryEngine.from_corpus(bundle, fast_config).artifact
+    sequential = QueryEngine(artifact, fast_config).service
+    expected = {q: sequential.answer(q, mode="rag+rerank").answer for q in questions}
+
+    artifact.registry._block_memo.clear()
+    service = QueryEngine(artifact, fast_config).service
+    start = threading.Barrier(8)
+
+    def run(offset: int) -> dict[str, str]:
+        start.wait()
+        rotated = questions[offset * 5 :] + questions[: offset * 5]
+        return {q: service.answer(q, mode="rag+rerank").answer for q in rotated}
+
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        results = list(pool.map(run, range(8)))
+    assert all(got == expected for got in results)

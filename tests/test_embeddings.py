@@ -114,6 +114,16 @@ class TestTfidfEmbedding:
         b = TfidfEmbedding(dim=64).fit(CORPUS).embed_documents(CORPUS)
         assert np.array_equal(a, b)
 
+    def test_only_queries_keep_projection_rows(self):
+        emb = TfidfEmbedding(dim=64).fit(CORPUS)
+        docs = emb.embed_documents(CORPUS)
+        assert emb._rows == {}
+        queries = np.stack([emb.embed_query(text) for text in CORPUS])
+        assert 0 < len(emb._rows) <= emb.vocabulary_size()
+        # Cached and regenerated rows are the same seeded Gaussians.
+        assert np.array_equal(queries, docs)
+        assert np.array_equal(emb.embed_documents(CORPUS), docs)
+
 
 class TestRegistry:
     def test_names(self):

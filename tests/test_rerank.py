@@ -63,6 +63,20 @@ class TestInteractionScorer:
         loose = sc.score("restart memory", "restart " + "x " * 60 + " memory")
         assert tight > loose
 
+    def test_doc_features_never_shared_across_equal_hashes(self):
+        class SameHash(str):
+            def __hash__(self):
+                return 7
+
+        a = SameHash("GMRES restart bounds memory use.")
+        b = SameHash("Chebyshev needs eigenvalue bounds.")
+        assert hash(a) == hash(b) and a != b
+        sc = InteractionScorer(w_proximity=1.0)
+        for query in ("gmres restart memory", "chebyshev eigenvalue bounds"):
+            warm = [sc.score(query, a), sc.score(query, b)]
+            fresh = [InteractionScorer(w_proximity=1.0).score(query, t) for t in (a, b)]
+            assert warm == fresh
+
     def test_build_idf_rare_terms_weigh_more(self):
         idf = build_idf(DOCS)
         assert idf["rectangular"] > idf["parallel"] or idf["rectangular"] >= idf["parallel"]
