@@ -42,7 +42,7 @@ _SPACE_RE = re.compile(r"\s")
 _BLOCK_MEMO_CAP = 4096
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1024)
 def _term_matcher(term: str) -> tuple[str, Callable[[str], re.Match | None], bool]:
     """``(needle, boundary search, search the lowered text?)`` for ``term``."""
     if _IDENT_RE.match(term):

@@ -10,6 +10,7 @@ memo was filled or evicted and however many threads share it.
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -154,6 +155,24 @@ def test_framed_contexts_match_the_whole_context_scan(data, framed_blocks, regis
 # ---------------------------------------------------------------------------
 # The per-block memo: bounded, and safe under concurrent callers
 # ---------------------------------------------------------------------------
+def run_threads(fn) -> list:
+    """``fn(0..7)`` on 8 threads started together, switching threads often."""
+    start = threading.Barrier(8)
+
+    def worker(i: int):
+        start.wait(timeout=60)
+        return fn(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(worker, i) for i in range(8)]
+            return [f.result(timeout=300) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_memo_stays_bounded_and_exact(monkeypatch, chunks):
     monkeypatch.setattr(facts_module, "_BLOCK_MEMO_CAP", 16)
     registry = default_registry()
@@ -171,10 +190,8 @@ def test_memo_is_exact_under_concurrent_callers(monkeypatch, pipeline_contexts):
     persona = ModelPersona(name="threads-sim", knowledge_rate=0.5, hallucination_rate=0.0)
     model = SimulatedChatModel(persona, registry)
     expected = [ids(registry.facts_in(c)) for c in pipeline_contexts]
-    start = threading.Barrier(8)
 
     def run(offset: int) -> list[list[str]]:
-        start.wait()
         n = len(pipeline_contexts)
         order = [(offset * 17 + i) % n for i in range(n)]
         got = [None] * n
@@ -182,9 +199,7 @@ def test_memo_is_exact_under_concurrent_callers(monkeypatch, pipeline_contexts):
             got[i] = ids(model._context_facts(pipeline_contexts[i]))
         return got
 
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(run, range(8)))
-    assert all(got == expected for got in results)
+    assert run_threads(run) == [expected] * 8
 
 
 def test_threads_through_one_service_match_the_sequential_run(bundle, fast_config):
@@ -195,13 +210,9 @@ def test_threads_through_one_service_match_the_sequential_run(bundle, fast_confi
 
     artifact.registry._block_memo.clear()
     service = QueryEngine(artifact, fast_config).service
-    start = threading.Barrier(8)
 
     def run(offset: int) -> dict[str, str]:
-        start.wait()
         rotated = questions[offset * 5 :] + questions[: offset * 5]
         return {q: service.answer(q, mode="rag+rerank").answer for q in rotated}
 
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        results = list(pool.map(run, range(8)))
-    assert all(got == expected for got in results)
+    assert run_threads(run) == [expected] * 8
