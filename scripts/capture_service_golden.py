@@ -8,7 +8,7 @@ The workloads live in ``tests/golden_workloads.py`` so the test suite
 re-runs *exactly* the same code.  This script exists to be run once,
 against the engine implementation the fixtures should pin; the
 committed ``tests/fixtures/service_golden.json`` was captured against
-the pre-interceptor-chain engine, making the fixture a cross-refactor
+the pre-service engine, making the fixture a cross-refactor
 equivalence oracle rather than a self-fulfilling snapshot.
 """
 

@@ -14,8 +14,8 @@ True
 Main entry points
 -----------------
 ``open_service``              the serving front door: ReproConfig →
-                              ReproService (one interceptor chain, one
-                              scheduler, for every consumer)
+                              ReproService (one request lifecycle for
+                              every consumer)
 ``open_engine``               ReproConfig → QueryEngine (sharded
                               scatter-gather when configured)
 ``ReproConfig``               root config nesting every subsystem's knobs

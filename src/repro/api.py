@@ -95,8 +95,8 @@ def open_service(
     in its :class:`~repro.service.ReproService`.
 
     Every request — single or batch, from any consumer — runs the same
-    interceptor chain (``admission → dedupe → answer-cache → tracing →
-    execute → record``) and the same deterministic scheduler.
+    deterministic request lifecycle (admission, answer cache, dedupe,
+    execute, record).
     """
     engine = open_engine(
         config, bundle=bundle, fault_injector=fault_injector, registry=registry

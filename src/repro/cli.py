@@ -53,7 +53,7 @@ All question-answering commands serve through the
 :class:`~repro.service.ReproService` front door (see
 :func:`repro.api.open_service`), over one cached index artifact, so a
 multi-command process builds the index exactly once and every request —
-single or batch — runs the same interceptor chain.  With the
+single or batch — runs the same request lifecycle.  With the
 global ``--shards N`` flag the index is partitioned into N shards built
 in parallel and served scatter-gather — answers are byte-identical to
 the monolithic path.

@@ -11,11 +11,10 @@ from repro.engine.caches import (
     ContextBinder,
     LRUCache,
 )
-from repro.engine.engine import BatchItem, BatchResult, QueryEngine
+from repro.engine.engine import BatchResult, QueryEngine
 from repro.engine.sharded import ShardedQueryEngine
 
 __all__ = [
-    "BatchItem",
     "BatchResult",
     "CacheTransaction",
     "CachedEmbedding",

@@ -7,8 +7,7 @@ through the request lifecycle in :mod:`repro.service`:
 :meth:`QueryEngine.answer` and :meth:`QueryEngine.answer_many` are thin
 wrappers that route every request — one question is a batch of one —
 through the engine's :class:`~repro.service.ReproService` and its
-interceptor chain (``admission → dedupe → answer-cache → tracing →
-execute → record``).
+request lifecycle (admission, answer cache, dedupe, execute, record).
 
 Determinism contract (see DESIGN.md §8 and §12): everything
 digest-relevant is a pure function of (artifact digest, question list,
@@ -32,10 +31,10 @@ from repro.pipeline.rag import PipelineResult, RAGPipeline, pipeline_from_artifa
 from repro.pipeline.types import PipelineMode
 from repro.resilience.faults import FaultInjector
 
-# Historical home of the batch types; they now live with the lifecycle.
-from repro.service.lifecycle import BatchItem, BatchResult
+# Historical home of the batch result; it now lives with the lifecycle.
+from repro.service.lifecycle import BatchResult
 
-__all__ = ["BatchItem", "BatchResult", "QueryEngine"]
+__all__ = ["BatchResult", "QueryEngine"]
 
 
 class QueryEngine:
@@ -108,11 +107,11 @@ class QueryEngine:
     @property
     def service(self):
         """The engine's :class:`~repro.service.ReproService` — the one
-        scheduler every request (single or batch) flows through."""
+        lifecycle every request (single or batch) flows through."""
         if self._service is None:
             from repro.service import ReproService
 
-            self._service = ReproService.for_engine(self)
+            self._service = ReproService(engine=self)
         return self._service
 
     def _metrics(self) -> MetricsRegistry:
@@ -223,7 +222,7 @@ class QueryEngine:
         mode: str | PipelineMode | None = None,
         ctx: RequestContext | None = None,
     ) -> PipelineResult:
-        """Answer one question — a batch of one through the service chain."""
+        """Answer one question — a batch of one through the service."""
         return self.service.answer(question, mode=mode, ctx=ctx)
 
     def answer_many(
@@ -236,8 +235,8 @@ class QueryEngine:
         arrivals: list[float] | None = None,
         client_ids: list[str] | None = None,
     ) -> BatchResult:
-        """Answer a batch through the service chain's deterministic
-        scheduler (see :meth:`repro.service.ReproService.answer_many`)."""
+        """Answer a batch through the service's deterministic lifecycle
+        (see :meth:`repro.service.ReproService.answer_many`)."""
         return self.service.answer_many(
             questions,
             mode=mode,

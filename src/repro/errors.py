@@ -88,11 +88,8 @@ class ConfigurationError(ReproError):
 
 
 class ServiceConfigurationError(ConfigurationError):
-    """The service's interceptor chain is malformed: a required
-    interceptor is missing, duplicated, or out of canonical order, or
-    the service was constructed over an inconsistent backend. Permanent
-    — the chain is validated at construction, before any request runs.
-    """
+    """The service was misused: constructed over no backend or both, or
+    asked to serve a mode its bare pipeline cannot. Permanent."""
 
 
 class CorpusError(ReproError):

@@ -1,16 +1,11 @@
 """Typed request-lifecycle objects: request, response, batch, run state.
 
-One request through the serving stack is an :class:`AnswerRequest`
-flowing down the interceptor chain and an :class:`AnswerResponse`
-flowing back.  A batch is a list of requests scheduled together; a
-single ``answer()`` call is a batch of one (same chain, same
-scheduler).  :class:`LifecycleState` is the blackboard one scheduler
-run shares across the chain — each interceptor reads and writes only
-the fields its contract names (DESIGN.md §12).
-
-``AnswerResponse`` is the object historically exported as
-``repro.engine.BatchItem``; the old name remains an alias so existing
-callers and pickles keep working.
+One request through the serving stack is an :class:`AnswerRequest` in
+and an :class:`AnswerResponse` out.  A batch is a list of requests
+scheduled together; a single ``answer()`` call is a batch of one (same
+lifecycle, same steps).  :class:`LifecycleState` carries one run's
+intermediate results between the steps of ``ReproService._run``
+(DESIGN.md §12).
 """
 
 from __future__ import annotations
@@ -19,7 +14,7 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING
 
 from repro.admission import ADMIT, QUEUE, AdmissionDecision
 from repro.observability import MetricsRegistry
@@ -31,9 +26,8 @@ if TYPE_CHECKING:
     from repro.context import RequestContext
     from repro.llm.latency import TokenBurnCollector
     from repro.pipeline.rag import RAGPipeline
-    from repro.service.service import ReproService
 
-#: The two request kinds one scheduler serves.  They differ only where
+#: The two request kinds one lifecycle serves.  They differ only where
 #: the pre-lifecycle code paths differed observably: a single request
 #: raises admission/pipeline errors instead of recording them, creates
 #: its context lazily, and burns LLM latency inline instead of
@@ -48,10 +42,9 @@ def question_digest(question: str) -> str:
 
 @dataclass
 class AnswerRequest:
-    """One question entering the chain, plus per-request scratch."""
+    """One question entering the lifecycle, plus per-request scratch."""
 
     question: str
-    mode: PipelineMode
     index: int = 0
     client_id: str = "default"
     arrival: float = 0.0
@@ -59,19 +52,17 @@ class AnswerRequest:
     #: always get a deterministic per-index context at execute time.
     ctx: "RequestContext | None" = None
     #: Identity key ``(question digest, mode, artifact digest)`` — the
-    #: answer-cache and dedupe interceptors share it.  Computed lazily;
-    #: ``None`` on engine-less services (no artifact, no caches).
+    #: answer cache and dedupe share it.  ``None`` on engine-less
+    #: services (no artifact, no caches).
     key: tuple | None = None
-    #: Set by dedupe when an earlier in-flight request has the same key.
-    dup_of: int | None = None
 
 
 @dataclass
 class AnswerResponse:
     """One question's outcome, in input order.
 
-    Historically ``repro.engine.BatchItem``; the shape (and therefore
-    every digest derived from it) is frozen by the golden suite.
+    The shape (and therefore every digest derived from it) is frozen by
+    the golden suite.
     """
 
     index: int
@@ -107,10 +98,6 @@ class AnswerResponse:
         if self.trace is not None:
             return self.trace
         return self.result.trace if self.result is not None else None
-
-
-#: Pre-service name, kept as an alias (see module docstring).
-BatchItem = AnswerResponse
 
 
 @dataclass
@@ -253,57 +240,36 @@ class BatchResult:
 
 @dataclass
 class LifecycleState:
-    """The blackboard one scheduler run shares across the chain.
+    """One run's intermediate results, passed between the lifecycle steps
+    of ``ReproService._run``; each group below is written by one step."""
 
-    Which interceptor may write which field is part of the interceptor
-    contract (DESIGN.md §12); everything else treats the state as
-    read-only.
-    """
-
-    service: "ReproService"
     kind: str
     mode: PipelineMode
     requests: list[AnswerRequest]
     registry: MetricsRegistry
     seed: int = 0
     workers: int = 1
-    #: Normalized admission inputs (batch kind only).
-    arrivals: list[float] = field(default_factory=list)
-    client_ids: list[str] = field(default_factory=list)
-    #: ``req.key`` factory installed by the service; None ⇒ keyless
-    #: (engine-less) serving: no dedupe, no answer cache.
-    key_fn: Callable[[AnswerRequest], tuple] | None = None
-    #: name → interceptor for the validated chain serving this run.
-    interceptors: dict[str, Any] = field(default_factory=dict)
-
-    # --- written by admission ---
+    started: float = field(default_factory=time.perf_counter)
+    # --- admit ---
     decisions: list[AdmissionDecision] | None = None
-    # --- written by dedupe ---
+    # --- set up ---
+    use_cache: bool = False
+    collector: "TokenBurnCollector | None" = None
+    pipeline: "RAGPipeline | None" = None
+    artifact_digest: str = ""
+    # --- classify ---
     primary_of: dict[tuple, int] = field(default_factory=dict)
     duplicates: list[tuple[int, int]] = field(default_factory=list)
-    # --- written by answer-cache ---
-    use_cache: bool = False
-    hit_keys: dict[int, tuple] = field(default_factory=dict)
-    # --- written by tracing/metrics ---
-    collector: "TokenBurnCollector | None" = None
-    started: float = field(default_factory=time.perf_counter)
+    jobs: list[AnswerRequest] = field(default_factory=list)
+    # --- execute ---
+    outcomes: dict[int, tuple] = field(default_factory=dict)
+    # --- classify (sheds, hits), then record (everything else) ---
+    items: list = field(default_factory=list)
+    # --- flush ---
     batch_seconds: float = 0.0
     burn_seconds: float = 0.0
     deferred_tokens: int = 0
-    # --- written by the scheduler (requests that passed the chain) ---
-    jobs: list[AnswerRequest] = field(default_factory=list)
-    # --- written by execute ---
-    pipeline: "RAGPipeline | None" = None
-    outcomes: dict[int, tuple] = field(default_factory=dict)
-    # --- written by the scheduler (disposals) and record (assembly) ---
-    items: list = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not self.items:
             self.items = [None] * len(self.requests)
-
-    def key_of(self, req: AnswerRequest) -> tuple | None:
-        """The request's identity key, computed once on first use."""
-        if req.key is None and self.key_fn is not None:
-            req.key = self.key_fn(req)
-        return req.key

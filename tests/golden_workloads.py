@@ -7,7 +7,7 @@ script ``scripts/capture_service_golden.py`` ran these against the
 *pre-service* engine (hand-woven ``QueryEngine.answer`` /
 ``answer_many``) and froze the digests into
 ``tests/fixtures/service_golden.json``; ``tests/test_service.py`` runs
-the same functions against the interceptor-chain service and asserts
+the same functions against the ``ReproService`` lifecycle and asserts
 equality.  A mismatch means the lifecycle refactor changed observable
 behaviour — which the digest-stability contract (DESIGN.md §12) forbids.
 """

@@ -158,9 +158,31 @@ class TestBatchDeterminism:
         reg = MetricsRegistry()
         engine = fresh_engine(artifact, fast_config, registry=reg)
         engine.answer_many(QUESTIONS, workers=2)
+
+        def counts():
+            return tuple(
+                reg.counter(f"repro.engine.{name}").value
+                for name in ("answer_cache.hits", "answer_cache.misses", "batch_deduped")
+            )
+
+        before = counts()
         rerun = engine.answer_many(QUESTIONS, workers=2)
         assert rerun.cached_count == len(QUESTIONS)
         assert all(it.result.trace.find("llm") == [] for it in rerun.items)
+        # The cache classifies first: a warm repeat is a hit, never a
+        # duplicate of an in-flight primary.
+        hits, misses, deduped = (b - a for a, b in zip(before, counts()))
+        assert (hits, misses, deduped) == (6, 0, 0)
+
+        # A cold repeat misses the cache (and counts the miss) before
+        # it coalesces onto its in-flight primary.
+        warm, cold = QUESTIONS[2], "What does KSPGMRESSetRestart do?"
+        before = counts()
+        mixed = engine.answer_many([warm, cold, warm, cold], workers=2)
+        hits, misses, deduped = (b - a for a, b in zip(before, counts()))
+        assert (hits, misses, deduped) == (2, 2, 1)
+        assert [it.cached for it in mixed.items] == [True, False, True, True]
+        assert mixed.items[3].result.answer == mixed.items[1].result.answer
 
     def test_results_keep_input_order(self, artifact, fast_config):
         engine = fresh_engine(artifact, fast_config, registry=MetricsRegistry())

@@ -1,18 +1,19 @@
-"""The service layer: golden digest equivalence + interceptor contract.
+"""The service layer: golden digest equivalence + front-door contract.
 
 The golden fixtures in ``fixtures/service_golden.json`` were captured
 from the PRE-refactor serving code (inline engine paths) on fixed seeds.
-The tests here re-run the same workloads through the interceptor chain
+The tests here re-run the same workloads through the request lifecycle
 and assert the answers/metrics/span digests reproduce those bytes
 exactly — a cross-refactor equivalence oracle, not a self-fulfilling
 snapshot.  Regenerate (deliberately!) with::
 
     PYTHONPATH=src:. python scripts/capture_service_golden.py
 
-The rest of the file pins the interceptor contract: chain validation
-fails fast with :class:`ServiceConfigurationError`, engine-less services
+The rest of the file pins the front-door contract: backend misuse fails
+fast with :class:`ServiceConfigurationError`, engine-less services
 serve byte-identically to direct pipeline calls, and request-lifecycle
-internals stay inside ``repro.service`` (architecture conformance).
+internals stay inside ``repro/service/service.py`` (architecture
+conformance).
 """
 
 from __future__ import annotations
@@ -25,17 +26,10 @@ import pytest
 
 import repro
 from repro.engine import QueryEngine
-from repro.errors import ReproError, ServiceConfigurationError
+from repro.errors import ServiceConfigurationError
 from repro.evaluation import krylov_benchmark, run_experiment
 from repro.observability import MetricsRegistry, use_registry
-from repro.service import (
-    CANONICAL_CHAIN,
-    AdmissionInterceptor,
-    Interceptor,
-    ReproService,
-    default_chain,
-    validate_chain,
-)
+from repro.service import ReproService
 from tests.golden_workloads import (
     ask_workload,
     batch_workload,
@@ -50,7 +44,7 @@ GOLDEN = json.loads(
 
 
 # ---------------------------------------------------------------------------
-# Golden digest equivalence: chain output == pre-refactor output, byte for byte
+# Golden digest equivalence: service output == pre-refactor output, byte for byte
 # ---------------------------------------------------------------------------
 class TestGoldenDigests:
     def test_single_requests_match_pre_refactor(self, bundle):
@@ -75,48 +69,9 @@ class TestGoldenDigests:
 
 
 # ---------------------------------------------------------------------------
-# Chain validation: malformed chains fail fast, before any request runs
+# Front-door semantics
 # ---------------------------------------------------------------------------
-class TestChainValidation:
-    def test_default_chain_is_canonical_and_valid(self):
-        chain = default_chain()
-        assert tuple(icp.name for icp in chain) == CANONICAL_CHAIN
-        validate_chain(chain)
-
-    def test_empty_chain_rejected(self):
-        with pytest.raises(ServiceConfigurationError, match="empty"):
-            validate_chain([])
-
-    @pytest.mark.parametrize("dropped", list(CANONICAL_CHAIN))
-    def test_dropping_any_core_interceptor_rejected(self, dropped):
-        chain = [icp for icp in default_chain() if icp.name != dropped]
-        with pytest.raises(ServiceConfigurationError, match=f"missing.*{dropped}"):
-            validate_chain(chain)
-
-    def test_reordering_core_interceptors_rejected(self):
-        chain = default_chain()
-        chain[1], chain[2] = chain[2], chain[1]  # dedupe <-> answer-cache
-        with pytest.raises(ServiceConfigurationError, match="canonical"):
-            validate_chain(chain)
-
-    def test_duplicate_interceptor_rejected(self):
-        chain = default_chain() + [AdmissionInterceptor()]
-        with pytest.raises(ServiceConfigurationError, match="more than once"):
-            validate_chain(chain)
-
-    def test_unnamed_interceptor_rejected(self):
-        class Nameless(Interceptor):
-            pass
-
-        with pytest.raises(ServiceConfigurationError, match="non-empty"):
-            validate_chain(default_chain() + [Nameless()])
-
-    def test_service_constructor_validates_chain(self, rag_pipeline):
-        chain = default_chain()
-        chain.reverse()
-        with pytest.raises(ServiceConfigurationError):
-            ReproService.for_pipeline(rag_pipeline, chain=chain)
-
+class TestFrontDoor:
     def test_service_needs_exactly_one_backend(self, bundle, fast_config, rag_pipeline):
         with pytest.raises(ServiceConfigurationError, match="exactly one backend"):
             ReproService()
@@ -124,29 +79,6 @@ class TestChainValidation:
         with pytest.raises(ServiceConfigurationError, match="exactly one backend"):
             ReproService(engine=engine, pipeline=rag_pipeline)
 
-    def test_custom_interceptor_may_interleave(self, rag_pipeline):
-        observed = []
-
-        class Audit(Interceptor):
-            name = "audit"
-
-            def on_request(self, req, state):
-                observed.append(req.question)
-                return None
-
-        chain = default_chain()
-        chain.insert(1, Audit())  # between admission and dedupe
-        validate_chain(chain)
-        service = ReproService.for_pipeline(rag_pipeline, chain=chain)
-        result = service.answer("What does KSPSolve do?")
-        assert result.answer
-        assert observed == ["What does KSPSolve do?"]
-
-
-# ---------------------------------------------------------------------------
-# Front-door semantics
-# ---------------------------------------------------------------------------
-class TestFrontDoor:
     def test_engine_service_is_cached_singleton(self, bundle, fast_config):
         engine = QueryEngine.from_corpus(bundle, fast_config)
         assert engine.service is engine.service
@@ -159,6 +91,14 @@ class TestFrontDoor:
         direct = rag_pipeline.answer(question)
         assert via_service.answer == direct.answer
         assert via_service.mode == direct.mode
+
+    def test_engineless_batch_reports_wall_time(self, rag_pipeline):
+        batch = ReproService.for_pipeline(rag_pipeline).answer_many(
+            ["What is DMDA?", "What does KSPSolve do?"]
+        )
+        assert batch.answered_count == 2
+        assert batch.batch_seconds > 0
+        assert batch.questions_per_second > 0
 
     def test_engineless_service_rejects_other_modes(self, rag_pipeline):
         service = ReproService.for_pipeline(rag_pipeline)
@@ -228,9 +168,9 @@ class TestFrontDoor:
 
 
 # ---------------------------------------------------------------------------
-# Architecture conformance: lifecycle internals stay inside repro.service
+# Architecture conformance: lifecycle internals stay inside service/service.py
 # ---------------------------------------------------------------------------
-#: Serving internals only the service/interceptor modules may touch.
+#: Serving internals only the service module may touch.
 _SERVICE_ONLY = (
     r"pipeline\.answer\(",
     r"admission\.admit_(?:one|batch)\(",
@@ -243,7 +183,7 @@ def test_lifecycle_internals_confined_to_service_modules():
     offenders = []
     for path in sorted(src_root.rglob("*.py")):
         rel = path.relative_to(src_root)
-        if rel.parts[0] == "service":
+        if rel.as_posix() == "service/service.py":
             continue
         text = path.read_text(encoding="utf-8")
         for pattern in _SERVICE_ONLY:
@@ -251,6 +191,6 @@ def test_lifecycle_internals_confined_to_service_modules():
                 line = text.count("\n", 0, match.start()) + 1
                 offenders.append(f"src/repro/{rel}:{line}: {match.group(0)}")
     assert not offenders, (
-        "request-lifecycle internals leaked outside repro.service "
+        "request-lifecycle internals leaked outside repro/service/service.py "
         "(route through ReproService instead):\n" + "\n".join(offenders)
     )
