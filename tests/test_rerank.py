@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.documents import Document
 from repro.errors import RerankError
@@ -159,3 +166,40 @@ class TestRerankingRetriever:
         candidates, results = rr.retrieve_detailed("GMRES restart", k=4)
         assert len(candidates) == 8
         assert len(results) == 4
+
+
+#: Scores every (question, chunk) pair with both rerankers and prints a
+#: digest of the score bits.
+_SCORE_DIGEST_SCRIPT = """
+import hashlib, struct
+from repro.corpus import build_default_corpus
+from repro.corpus.builder import chunk_corpus
+from repro.evaluation import krylov_benchmark
+from repro.rerank import FlashrankLiteReranker, NvidiaSimReranker
+chunks = chunk_corpus(build_default_corpus())
+texts = [c.text for c in chunks]
+h = hashlib.sha256()
+for reranker in (FlashrankLiteReranker(chunks), NvidiaSimReranker(chunks)):
+    for q in krylov_benchmark():
+        for s in reranker.score_pairs(q.text, texts):
+            h.update(struct.pack("<d", s))
+print(h.hexdigest())
+"""
+
+
+class TestHashSeedIndependence:
+    def test_scores_equal_under_two_hash_seeds(self):
+        """Float sums must not follow set iteration order, which the
+        process hash seed decides: the score bits of every pair must be
+        the same under any ``PYTHONHASHSEED``."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        digests = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            out = subprocess.run(
+                [sys.executable, "-c", _SCORE_DIGEST_SCRIPT],
+                env=env, capture_output=True, text=True, timeout=600, check=True,
+            )
+            digests.append(out.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
