@@ -30,10 +30,12 @@ import functools
 import re
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, TypeVar
 
 from repro.errors import CorpusError
 from repro.utils.textproc import sentences
+
+T = TypeVar("T")
 
 _IDENT_RE = re.compile(r"^[A-Z][A-Za-z0-9_]*$|^-[a-z][a-z0-9_]*$")
 _SPACE_RE = re.compile(r"\s")
@@ -183,13 +185,31 @@ class FactRegistry:
         # whitespace inside a multi-word term); see facts_in_blocks.
         self._block_memo: dict[str, tuple[frozenset[str], frozenset[str]]] = {}
         self._block_memo_lock = threading.Lock()
+        # factory -> factory(self); see derived().
+        self._derived: dict[Callable, object] = {}
+        self._derived_lock = threading.Lock()
 
     def add_fact(self, fact: Fact) -> Fact:
         if fact.fact_id in self.facts:
             raise CorpusError(f"duplicate fact id {fact.fact_id!r}")
         self.facts[fact.fact_id] = fact
         self._block_memo.clear()
+        with self._derived_lock:
+            self._derived.clear()
         return fact
+
+    def derived(self, factory: Callable[["FactRegistry"], T]) -> T:
+        """``factory(self)``, built once and kept until the next :meth:`add_fact`.
+
+        For models computed from the facts alone (the simulated model's
+        :class:`~repro.llm.relevance.RelevanceModel`): every chat model
+        over this registry shares one instead of rebuilding it.
+        """
+        with self._derived_lock:
+            value = self._derived.get(factory)
+            if value is None:
+                value = self._derived[factory] = factory(self)
+            return value  # type: ignore[return-value]
 
     def add_falsehood(self, falsehood: Falsehood) -> Falsehood:
         if falsehood.false_id in self.falsehoods:

@@ -27,6 +27,7 @@ from repro.corpus.builder import CorpusBundle
 from repro.corpus.facts import FactRegistry
 from repro.documents import Document
 from repro.embeddings.base import EmbeddingModel
+from repro.rerank.features import DocFeatureTable
 from repro.retrieval.keyword import ManualPageKeywordSearch
 from repro.vectorstore.store import VectorStore
 
@@ -107,6 +108,11 @@ class IndexArtifact:
         Source path → sha256 of the source text the chunks came from.
         The diff stage of the next ingest uses this to re-chunk only the
         sources that changed.
+    rerank_features:
+        The rerankers' document features, one entry per chunk text
+        (DESIGN.md §16); read it through :meth:`rerank_table`.  A delta
+        build supplies one that reuses the parent's entries; otherwise
+        it stays ``None`` until the first reranker needs it.
     """
 
     digest: str
@@ -120,8 +126,25 @@ class IndexArtifact:
     parent_digest: str | None = None
     delta_digest: str | None = None
     source_digests: dict[str, str] = field(default_factory=dict)
+    rerank_features: DocFeatureTable | None = None
 
     # ------------------------------------------------------------ consumers
+    def rerank_table(self) -> DocFeatureTable:
+        """The rerankers' document features, built on first use.
+
+        An artifact that never serves a reranker (a shard loaded only to
+        be merged, a build in a benchmark) never pays for the table.
+        Two threads racing on the first use may both build it; the
+        tables are equal, so either may win.
+        """
+        table = self.rerank_features
+        if table is None:
+            table = self.rerank_features = self._build_rerank_table()
+        return table
+
+    def _build_rerank_table(self) -> DocFeatureTable:
+        return DocFeatureTable(self.chunks)
+
     def fork_store(self, *, embedding: EmbeddingModel | None = None) -> VectorStore:
         """A mutable store sharing this artifact's vectors copy-on-write.
 

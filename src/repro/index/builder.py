@@ -64,6 +64,7 @@ from repro.index.artifact import (
 )
 from repro.ingest.delta import CorpusDelta, diff_chunks
 from repro.observability import get_registry
+from repro.rerank.features import DocFeatureTable
 from repro.vectorstore.store import VectorStore
 
 _STORE_DIR = "store"
@@ -201,7 +202,10 @@ def build_index_from_parent(
     On success the result is *value-identical* to :func:`build_index`
     over the same inputs: same digest, byte-identical vectors (hashing
     embeddings are computed and normalized per row, so a subset batch
-    equals the matching rows of the full batch), same chunk order.  The
+    equals the matching rows of the full batch), same chunk order, and
+    the same rerank features (when the parent has built its table: the
+    parent's entries for unchanged chunk texts, fresh ones for the rest,
+    nothing else carried over).  The
     ``repro.index.builds`` counter is **not** incremented — counters
     under ``repro.ingest.*`` account the delta work instead.
     """
@@ -275,6 +279,11 @@ def build_index_from_parent(
         delta_digest=delta.digest,
         source_digests=corpus_source_digests(
             bundle, include_mail=rc.include_mail_archives
+        ),
+        rerank_features=(
+            DocFeatureTable(chunks, reuse=[parent.rerank_features])
+            if parent.rerank_features is not None
+            else None
         ),
     )
     return artifact, delta

@@ -50,6 +50,7 @@ from repro.index.builder import (
     save_artifact,
 )
 from repro.observability import get_registry, use_registry
+from repro.rerank.features import DocFeatureTable
 from repro.vectorstore.sharded import ShardedVectorStore, shard_for_document
 from repro.vectorstore.store import VectorStore
 
@@ -163,6 +164,10 @@ class ShardedIndexArtifact(IndexArtifact):
         out["num_shards"] = self.num_shards
         out["shard_digests"] = [s.digest for s in self.shards]
         return out
+
+    def _build_rerank_table(self) -> DocFeatureTable:
+        # Entries are per chunk text, so the shards' tables cover ours.
+        return DocFeatureTable(self.chunks, reuse=[s.rerank_table() for s in self.shards])
 
     def shard_summaries(
         self, *, replicas: int = 1, health: "HealthTracker | None" = None

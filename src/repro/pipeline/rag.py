@@ -455,9 +455,9 @@ def pipeline_from_artifact(
     reranker: Reranker | None = None
     if mode is PipelineMode.RAG_RERANK:
         if rc.reranker == "flashrank-lite":
-            reranker = FlashrankLiteReranker(artifact.chunks)
+            reranker = FlashrankLiteReranker(artifact.rerank_table())
         else:
-            reranker = NvidiaSimReranker(artifact.chunks)
+            reranker = NvidiaSimReranker(artifact.rerank_table())
         if fault_injector is not None:
             reranker = fault_injector.wrap_reranker(reranker)
     return RAGPipeline(

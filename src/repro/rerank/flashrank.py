@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from repro.documents import Document
 from repro.rerank.base import Reranker
-from repro.rerank.scoring import InteractionScorer, build_idf
+from repro.rerank.features import DocFeatureTable, feature_table
+from repro.rerank.scoring import InteractionScorer
 
 
 class FlashrankLiteReranker(Reranker):
@@ -12,15 +13,15 @@ class FlashrankLiteReranker(Reranker):
 
     Mirrors the paper's Flashrank pick: "lightweight models running on
     the CPU" that reach accuracy similar to the GPU reranker at a
-    fraction of the cost.
+    fraction of the cost.  ``corpus`` is the chunk list or, when serving,
+    the artifact's prebuilt :class:`~repro.rerank.features.DocFeatureTable`.
     """
 
     name = "flashrank-lite"
 
-    def __init__(self, corpus: list[Document] | None = None) -> None:
-        idf = build_idf(corpus) if corpus else None
+    def __init__(self, corpus: list[Document] | DocFeatureTable | None = None) -> None:
         self._scorer = InteractionScorer(
-            idf=idf,
+            features=feature_table(corpus),
             w_coverage=1.2,
             w_identifier=0.5,
             w_bigram=0.5,

@@ -11,19 +11,26 @@ from __future__ import annotations
 
 from repro.documents import Document
 from repro.rerank.base import Reranker
-from repro.rerank.scoring import InteractionScorer, build_idf
+from repro.rerank.features import DocFeatureTable, feature_table
+from repro.rerank.scoring import InteractionScorer
 
 
 class NvidiaSimReranker(Reranker):
+    """``corpus`` is as for :class:`~repro.rerank.flashrank.FlashrankLiteReranker`."""
+
     name = "nvidia-sim"
 
-    def __init__(self, corpus: list[Document] | None = None, *, batch_size: int = 8) -> None:
+    def __init__(
+        self,
+        corpus: list[Document] | DocFeatureTable | None = None,
+        *,
+        batch_size: int = 8,
+    ) -> None:
         if batch_size < 1:
             batch_size = 1
         self.batch_size = batch_size
-        idf = build_idf(corpus) if corpus else None
         self._scorer = InteractionScorer(
-            idf=idf,
+            features=feature_table(corpus),
             w_coverage=1.2,
             w_identifier=0.5,
             w_bigram=0.45,

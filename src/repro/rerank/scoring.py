@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.documents import Document
+from repro.rerank.features import DocFeatures, DocFeatureTable, concept_id
 from repro.utils.textproc import (
     code_tokens,
     stem,
@@ -31,50 +33,13 @@ from repro.utils.textproc import (
     word_ngrams,
 )
 
-#: Concept clusters (stem space): a trained domain reranker's notion of
-#: near-synonyms.  Each group maps query terms onto document terms that
-#: express the same concept.
-_CONCEPT_GROUPS: tuple[tuple[str, ...], ...] = (
-    ("time", "timing", "measur", "profil", "performanc", "summary", "flop", "-log_view"),
-    ("memory", "allocat", "storag", "restart"),
-    ("print", "display", "show", "view", "monitor", "output"),
-    ("fail", "error", "diverg", "breakdown", "stopp", "wrong"),
-    ("rectangular", "square", "overdetermined", "underdetermined", "least"),
-    ("transpos", "adjoint"),
-    ("scal", "scalability", "rank", "process", "reduct", "synchron", "latency",
-     "bottleneck", "pipelin"),
-    ("default", "choos", "pick"),
-    ("preconditio", "pc"),
-    ("singular", "null", "nullspac", "neumann"),
-    ("assembl", "setvalu", "prealloc", "insert"),
-    ("stagnat", "converg", "toler", "rtol"),
-    ("sufficient", "insufficient", "success", "report", "malloc", "diagnos"),
-)
-
-
-def _concept_index() -> dict[str, int]:
-    index: dict[str, int] = {}
-    for gid, group in enumerate(_CONCEPT_GROUPS):
-        for term in group:
-            index[term] = gid
-    return index
-
-
-_CONCEPT_OF: dict[str, int] = _concept_index()
-
-
-def _concept(token: str) -> int | None:
-    """The concept-group id of a (stemmed) token, by prefix match."""
-    if token in _CONCEPT_OF:
-        return _CONCEPT_OF[token]
-    for term, gid in _CONCEPT_OF.items():
-        if len(term) >= 4 and token.startswith(term):
-            return gid
-    return None
-
 
 def build_idf(documents: list[Document]) -> dict[str, float]:
-    """Smoothed IDF over a document collection (stem space)."""
+    """Smoothed IDF over a document collection (stem space).
+
+    The from-scratch form of ``DocFeatureTable.idf``, which counts the
+    same term sets from the table instead of stemming again.
+    """
     df: Counter[str] = Counter()
     for doc in documents:
         df.update(set(stemmed_tokens(doc.text)))
@@ -82,18 +47,33 @@ def build_idf(documents: list[Document]) -> dict[str, float]:
     return {t: math.log((1 + n) / (1 + c)) + 1.0 for t, c in df.items()}
 
 
+@dataclass(frozen=True, slots=True)
+class _QueryFeatures:
+    """The query side of every feature, computed once per batch."""
+
+    terms: frozenset[str]
+    #: ``(term, idf weight, concept id)`` in sorted term order.
+    coverage: tuple[tuple[str, float, int | None], ...]
+    coverage_total: float
+    idents: tuple[str, ...]
+    #: Distinct query bigrams as ``" a b "`` needles for ``DocFeatures.tokens``.
+    bigrams: tuple[str, ...]
+
+
 class InteractionScorer:
     """Computes the weighted sum of the interaction features.
 
     Parameters are feature weights; the two rerankers instantiate this
     with different weights (and the NVIDIA simulation adds the expensive
-    proximity feature).
+    proximity feature).  Document features and the IDF come from
+    ``features``, the serving artifact's table; a text outside the table
+    is computed on the spot.
     """
 
     def __init__(
         self,
         *,
-        idf: dict[str, float] | None = None,
+        features: DocFeatureTable | None = None,
         w_coverage: float = 1.0,
         w_identifier: float = 0.8,
         w_bigram: float = 0.5,
@@ -101,7 +81,8 @@ class InteractionScorer:
         w_focus: float = 0.15,
         focus_chars: int = 900,
     ) -> None:
-        self.idf = idf or {}
+        self.features = features if features is not None else DocFeatureTable()
+        self.idf = self.features.idf
         self.default_idf = max(self.idf.values()) if self.idf else 1.0
         self.w_coverage = w_coverage
         self.w_identifier = w_identifier
@@ -109,58 +90,68 @@ class InteractionScorer:
         self.w_proximity = w_proximity
         self.w_focus = w_focus
         self.focus_chars = focus_chars
-        # Document-side features are query-independent; candidates repeat
-        # heavily across queries, so cache them (bounded by corpus size).
-        # Keyed on the text itself: equal hashes must never share features.
-        self._doc_cache: dict[str, tuple[list[str], set[str], set[int], set[tuple[str, str]]]] = {}
 
     # ------------------------------------------------------------------ features
-    def _coverage(self, q_terms: set[str], d_terms: set[str], d_concepts: set[int]) -> float:
-        if not q_terms:
-            return 0.0
+    def _query(self, query: str) -> _QueryFeatures:
+        terms = frozenset(stemmed_tokens(query))
+        # Sum in sorted order: float addition is non-associative, and set
+        # iteration order varies with the process hash seed.
+        coverage = []
         total = 0.0
-        hit = 0.0
-        for t in q_terms:
+        for t in sorted(terms):
             w = self.idf.get(t, self.default_idf)
             total += w
-            if t in d_terms:
+            coverage.append((t, w, concept_id(t)))
+        kept = [stem(t) for t in tokenize_with_stopwords(query)]
+        return _QueryFeatures(
+            terms=terms,
+            coverage=tuple(coverage),
+            coverage_total=total,
+            idents=tuple(dict.fromkeys(code_tokens(query))),
+            bigrams=tuple(dict.fromkeys(f" {a} {b} " for a, b in word_ngrams(kept, 2))),
+        )
+
+    @staticmethod
+    def _coverage(q: _QueryFeatures, d: DocFeatures) -> float:
+        if not q.coverage:
+            return 0.0
+        hit = 0.0
+        for t, w, gid in q.coverage:
+            if t in d.terms:
                 hit += w
-            else:
-                gid = _concept(t)
-                if gid is not None and gid in d_concepts:
-                    hit += 0.7 * w  # synonym match: strong but below exact
-        if total <= 0:
+            elif gid is not None and gid in d.concepts:
+                hit += 0.7 * w  # synonym match: strong but below exact
+        if q.coverage_total <= 0:
             return 0.0
         # Saturating matched-mass factor: a tiny page matching three weak
         # terms must not outscore a substantive section matching eight.
         mass = hit / (hit + 6.0)
-        return (hit / total) * (0.4 + 1.2 * mass)
+        return (hit / q.coverage_total) * (0.4 + 1.2 * mass)
 
     @staticmethod
-    def _identifier(query: str, text: str) -> float:
-        idents = set(code_tokens(query))
-        if not idents:
+    def _identifier(q: _QueryFeatures, text: str) -> float:
+        if not q.idents:
             return 0.0
-        present = sum(1 for i in idents if i in text)
-        return present / len(idents)
+        present = sum(1 for i in q.idents if i in text)
+        return present / len(q.idents)
 
     @staticmethod
-    def _bigram(q_tokens: list[str], d_bigrams: set[tuple[str, str]]) -> float:
-        q_bigrams = set(word_ngrams(q_tokens, 2))
-        if not q_bigrams:
+    def _bigram(q: _QueryFeatures, d: DocFeatures) -> float:
+        if not q.bigrams:
             return 0.0
-        return len(q_bigrams & d_bigrams) / len(q_bigrams)
+        return sum(1 for b in q.bigrams if b in d.tokens) / len(q.bigrams)
 
     @staticmethod
-    def _proximity(q_terms: set[str], d_tokens: list[str]) -> float:
+    def _proximity(q: _QueryFeatures, d: DocFeatures) -> float:
         """1 / window: the tightest document window covering the matched terms.
 
         This is the token-interaction-matrix part — O(|doc|) with a
         sliding window, the dominant cost of the heavy reranker.
         """
-        targets = q_terms & set(d_tokens)
+        targets = q.terms & d.terms
         if len(targets) < 2:
             return 1.0 if targets else 0.0
+        d_tokens = d.stems.split()
         need = len(targets)
         have: Counter[str] = Counter()
         count = 0
@@ -189,30 +180,19 @@ class InteractionScorer:
         return math.log(len(text) / self.focus_chars)
 
     # ------------------------------------------------------------------ scoring
-    def _doc_features(self, text: str) -> tuple[list[str], set[str], set[int], set[tuple[str, str]]]:
-        cached = self._doc_cache.get(text)
-        if cached is not None:
-            return cached
-        d_stems = stemmed_tokens(text)
-        d_terms = set(d_stems)
-        d_concepts = {g for g in (_concept(t) for t in d_terms) if g is not None}
-        d_bigrams = set(word_ngrams([stem(t) for t in tokenize_with_stopwords(text)], 2))
-        features = (d_stems, d_terms, d_concepts, d_bigrams)
-        self._doc_cache[text] = features
-        return features
-
-    def score(self, query: str, text: str) -> float:
-        q_stems = stemmed_tokens(query)
-        q_terms = set(q_stems)
-        d_stems, d_terms, d_concepts, d_bigrams = self._doc_features(text)
-        s = self.w_coverage * self._coverage(q_terms, d_terms, d_concepts)
-        s += self.w_identifier * self._identifier(query, text)
-        q_all = [stem(t) for t in tokenize_with_stopwords(query)]
-        s += self.w_bigram * self._bigram(q_all, d_bigrams)
+    def _score(self, q: _QueryFeatures, text: str) -> float:
+        d = self.features.get(text)
+        s = self.w_coverage * self._coverage(q, d)
+        s += self.w_identifier * self._identifier(q, text)
+        s += self.w_bigram * self._bigram(q, d)
         if self.w_proximity:
-            s += self.w_proximity * self._proximity(q_terms, d_stems)
+            s += self.w_proximity * self._proximity(q, d)
         s -= self.w_focus * self._focus(text)
         return s
 
+    def score(self, query: str, text: str) -> float:
+        return self._score(self._query(query), text)
+
     def score_batch(self, query: str, texts: list[str]) -> np.ndarray:
-        return np.array([self.score(query, t) for t in texts], dtype=np.float64)
+        q = self._query(query)
+        return np.array([self._score(q, t) for t in texts], dtype=np.float64)

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.corpus.facts import Fact, default_registry
 from repro.llm.hallucination import HallucinationGenerator
 from repro.llm.relevance import RelevanceModel
+from repro.llm.simulated import ModelPersona, SimulatedChatModel
 
 
 @pytest.fixture(scope="module")
@@ -74,6 +76,31 @@ class TestRelevanceSelection:
         a = [sf.fact.fact_id for sf in rel.select(facts, "KSP tolerances?")]
         b = [sf.fact.fact_id for sf in rel.select(facts, "KSP tolerances?")]
         assert a == b
+
+
+class TestSharedRelevanceModel:
+    def test_chat_models_over_one_registry_share_one_model(self):
+        reg = default_registry()
+        persona = ModelPersona(name="m", knowledge_rate=0.5, hallucination_rate=0.0)
+        a = SimulatedChatModel(persona, reg)
+        b = SimulatedChatModel(persona, reg)
+        assert a.relevance is b.relevance is reg.derived(RelevanceModel)
+
+    def test_add_fact_invalidates_the_shared_model(self):
+        reg = default_registry()
+        before = reg.derived(RelevanceModel)
+        fact = Fact(
+            fact_id="test.sourdough",
+            statement="Sourdough starters need daily feeding.",
+            signature=("sourdough",),
+            topics=("sourdough",),
+        )
+        reg.add_fact(fact)
+        after = reg.derived(RelevanceModel)
+        assert after is not before and after is reg.derived(RelevanceModel)
+        picked = after.select([fact], "How often do sourdough starters need feeding?")
+        assert [sf.fact.fact_id for sf in picked] == ["test.sourdough"]
+        assert after.topic_weight("sourdough") != 1.0  # 1.0 is the unknown-topic weight
 
 
 class TestHallucination:
