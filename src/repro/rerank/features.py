@@ -142,8 +142,11 @@ class DocFeatureTable:
         for text in self._texts:
             if text in entries:
                 continue
-            entry = next((src[text] for src in sources if text in src), None)
-            if entry is None:
+            for src in sources:
+                entry = src.get(text)
+                if entry is not None:
+                    break
+            else:
                 entry = build(text)
                 computed += 1
             entries[text] = entry
