@@ -159,9 +159,6 @@ class DocFeatureTable:
     def __iter__(self) -> Iterator[str]:
         return iter(self._entries)
 
-    def __contains__(self, text: object) -> bool:
-        return text in self._entries
-
     def get(self, text: str) -> DocFeatures:
         """``text``'s entry, computed afresh (not stored) on a miss."""
         entry = self._entries.get(text)
