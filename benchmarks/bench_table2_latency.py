@@ -12,8 +12,9 @@ and the rerank-enhanced RAG stage stays a small fraction (<11%) of the
 LLM response time.  Our absolute numbers are much smaller (the simulated
 LLM generates in tens of milliseconds, and the vector DB holds hundreds
 of chunks rather than the full petsc.org corpus), but both ratios are
-measured for real: the pipeline stages do genuine work and the simulated
-model burns genuine per-token compute.
+measured for real: the pipeline stages do genuine work, the simulated
+model burns genuine per-token compute, and the reranker burns a simulated
+cross-encoder's per-pair compute (DESIGN.md §16).
 
 Since the observability layer, every answer carries a span tree, so this
 bench also reports per-stage percentiles (p50/p90/p99 over locate,

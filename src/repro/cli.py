@@ -120,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--mode", default="rag+rerank", choices=_MODES, help="pipeline mode"
     )
     parser.add_argument(
-        "--fast", action="store_true", help="disable the LLM latency simulation"
+        "--fast", action="store_true", help="disable the LLM and reranker latency simulation"
     )
     parser.add_argument(
         "--shards", type=int, default=0, metavar="N",

@@ -394,7 +394,8 @@ class ReproConfig:
     replication: ReplicationConfig = field(default_factory=ReplicationConfig)
     ingest: IngestConfig = field(default_factory=IngestConfig)
     #: Latency-burn override for the simulated model; None keeps the
-    #: persona default, 0 disables the burn (unit tests).
+    #: persona default, 0 disables the burn (unit tests) and the
+    #: rerankers' simulated per-pair cost with it.
     iterations_per_token: int | None = None
     record_history: bool = True
 

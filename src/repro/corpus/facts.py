@@ -185,31 +185,32 @@ class FactRegistry:
         # whitespace inside a multi-word term); see facts_in_blocks.
         self._block_memo: dict[str, tuple[frozenset[str], frozenset[str]]] = {}
         self._block_memo_lock = threading.Lock()
-        # factory -> factory(self); see derived().
-        self._derived: dict[Callable, object] = {}
-        self._derived_lock = threading.Lock()
+        # The relevance model over these facts; see relevance_model().
+        self._relevance: object | None = None
+        self._relevance_lock = threading.Lock()
 
     def add_fact(self, fact: Fact) -> Fact:
         if fact.fact_id in self.facts:
             raise CorpusError(f"duplicate fact id {fact.fact_id!r}")
         self.facts[fact.fact_id] = fact
         self._block_memo.clear()
-        with self._derived_lock:
-            self._derived.clear()
+        with self._relevance_lock:
+            self._relevance = None
         return fact
 
-    def derived(self, factory: Callable[["FactRegistry"], T]) -> T:
-        """``factory(self)``, built once and kept until the next :meth:`add_fact`.
+    def relevance_model(self, build: Callable[["FactRegistry"], T]) -> T:
+        """The simulated model's relevance model over these facts.
 
-        For models computed from the facts alone (the simulated model's
-        :class:`~repro.llm.relevance.RelevanceModel`): every chat model
-        over this registry shares one instead of rebuilding it.
+        ``build(self)`` runs on first use and its result is kept until
+        the next :meth:`add_fact`, so every chat model over this registry
+        shares one.  The caller passes ``build`` (the
+        :class:`~repro.llm.relevance.RelevanceModel` class) so that this
+        module need not import the model layer.
         """
-        with self._derived_lock:
-            value = self._derived.get(factory)
-            if value is None:
-                value = self._derived[factory] = factory(self)
-            return value  # type: ignore[return-value]
+        with self._relevance_lock:
+            if self._relevance is None:
+                self._relevance = build(self)
+            return self._relevance  # type: ignore[return-value]
 
     def add_falsehood(self, falsehood: Falsehood) -> Falsehood:
         if falsehood.false_id in self.falsehoods:

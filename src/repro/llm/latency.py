@@ -32,12 +32,23 @@ from repro.errors import ModelError
 DEFAULT_BURN_LANES = 4096
 
 
+def burn_scalar(iterations: int) -> float:
+    """Run ``iterations`` logistic-map steps in a scalar Python loop.
+
+    Returns the recurrence value so the work cannot be optimized away.
+    """
+    x = 0.5
+    for _ in range(iterations):
+        x = 3.6 * x * (1.0 - x)
+    return x
+
+
 def burn_vectorized(total_iterations: int, *, lanes: int = DEFAULT_BURN_LANES) -> float:
     """Run ``total_iterations`` logistic-map element-steps, NumPy-wide.
 
-    The recurrence is the same one :meth:`LatencyEngine.burn` iterates
-    scalar-wise; here each step advances ``lanes`` independent lanes at
-    once, so the per-iteration cost drops by roughly the vector width's
+    The recurrence is the same one :func:`burn_scalar` iterates; here
+    each step advances ``lanes`` independent lanes at once, so the
+    per-iteration cost drops by roughly the vector width's
     dispatch amortization (~20x on one core).  Returns the recurrence
     value so the work cannot be optimized away.
     """
@@ -130,7 +141,4 @@ class LatencyEngine:
         if collector is not None:
             collector.add(n_tokens, total)
             return 0.5
-        x = 0.5
-        for _ in range(total):
-            x = 3.6 * x * (1.0 - x)
-        return x
+        return burn_scalar(total)

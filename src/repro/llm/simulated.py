@@ -96,7 +96,7 @@ class SimulatedChatModel(ChatModel):
         self.knowledge = ParametricKnowledge(
             registry, model_name=persona.name, knowledge_rate=persona.knowledge_rate
         )
-        self.relevance = registry.derived(RelevanceModel)
+        self.relevance = registry.relevance_model(RelevanceModel)
         self.hallucinator = HallucinationGenerator(registry)
         self.latency = LatencyEngine(iterations_per_token=persona.iterations_per_token)
 

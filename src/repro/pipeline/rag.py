@@ -454,10 +454,13 @@ def pipeline_from_artifact(
 
     reranker: Reranker | None = None
     if mode is PipelineMode.RAG_RERANK:
+        # The rerankers simulate inference cost whenever the chat model
+        # does: iterations_per_token=0 switches both off.
+        simulate = config.iterations_per_token != 0
         if rc.reranker == "flashrank-lite":
-            reranker = FlashrankLiteReranker(artifact.rerank_table())
+            reranker = FlashrankLiteReranker(artifact.rerank_table(), simulate_latency=simulate)
         else:
-            reranker = NvidiaSimReranker(artifact.rerank_table())
+            reranker = NvidiaSimReranker(artifact.rerank_table(), simulate_latency=simulate)
         if fault_injector is not None:
             reranker = fault_injector.wrap_reranker(reranker)
     return RAGPipeline(

@@ -56,22 +56,20 @@ def _concept_index() -> dict[str, int]:
 
 
 _CONCEPT_OF: dict[str, int] = _concept_index()
-#: Terms that also match as prefixes, in lexicon order (first match wins).
-_CONCEPT_PREFIXES: tuple[tuple[str, int], ...] = tuple(
-    (term, gid) for term, gid in _CONCEPT_OF.items() if len(term) >= 4
-)
-_PREFIX_TERMS: tuple[str, ...] = tuple(term for term, _gid in _CONCEPT_PREFIXES)
+#: The terms that also match as prefixes.
+_PREFIXES: tuple[str, ...] = tuple(term for term in _CONCEPT_OF if len(term) >= 4)
 
 
 def concept_id(token: str) -> int | None:
     """The concept-group id of a (stemmed) token, by prefix match."""
-    gid = _CONCEPT_OF.get(token)
-    if gid is not None:
-        return gid
-    if not token.startswith(_PREFIX_TERMS):
+    if token in _CONCEPT_OF:
+        return _CONCEPT_OF[token]
+    # One C-level test turns away most tokens before the per-term loop;
+    # a full table build calls this for every term of every chunk.
+    if not token.startswith(_PREFIXES):
         return None
-    for term, gid in _CONCEPT_PREFIXES:
-        if token.startswith(term):
+    for term, gid in _CONCEPT_OF.items():
+        if len(term) >= 4 and token.startswith(term):
             return gid
     return None
 

@@ -15,11 +15,20 @@ class FlashrankLiteReranker(Reranker):
     the CPU" that reach accuracy similar to the GPU reranker at a
     fraction of the cost.  ``corpus`` is the chunk list or, when serving,
     the artifact's prebuilt :class:`~repro.rerank.features.DocFeatureTable`.
+    ``simulate_latency`` spends a small CPU cross-encoder's per-pair
+    inference cost on each rerank (see :class:`~repro.rerank.base.Reranker`).
     """
 
     name = "flashrank-lite"
+    iterations_per_pair = 2000
 
-    def __init__(self, corpus: list[Document] | DocFeatureTable | None = None) -> None:
+    def __init__(
+        self,
+        corpus: list[Document] | DocFeatureTable | None = None,
+        *,
+        simulate_latency: bool = False,
+    ) -> None:
+        self.simulate_latency = simulate_latency
         self._scorer = InteractionScorer(
             features=feature_table(corpus),
             w_coverage=1.2,

@@ -16,16 +16,21 @@ from repro.rerank.scoring import InteractionScorer
 
 
 class NvidiaSimReranker(Reranker):
-    """``corpus`` is as for :class:`~repro.rerank.flashrank.FlashrankLiteReranker`."""
+    """``corpus`` and ``simulate_latency`` are as for
+    :class:`~repro.rerank.flashrank.FlashrankLiteReranker`; the simulated
+    per-pair cost is three times the CPU model's."""
 
     name = "nvidia-sim"
+    iterations_per_pair = 6000
 
     def __init__(
         self,
         corpus: list[Document] | DocFeatureTable | None = None,
         *,
         batch_size: int = 8,
+        simulate_latency: bool = False,
     ) -> None:
+        self.simulate_latency = simulate_latency
         if batch_size < 1:
             batch_size = 1
         self.batch_size = batch_size

@@ -84,11 +84,11 @@ class TestSharedRelevanceModel:
         persona = ModelPersona(name="m", knowledge_rate=0.5, hallucination_rate=0.0)
         a = SimulatedChatModel(persona, reg)
         b = SimulatedChatModel(persona, reg)
-        assert a.relevance is b.relevance is reg.derived(RelevanceModel)
+        assert a.relevance is b.relevance is reg.relevance_model(RelevanceModel)
 
     def test_add_fact_invalidates_the_shared_model(self):
         reg = default_registry()
-        before = reg.derived(RelevanceModel)
+        before = reg.relevance_model(RelevanceModel)
         fact = Fact(
             fact_id="test.sourdough",
             statement="Sourdough starters need daily feeding.",
@@ -96,8 +96,8 @@ class TestSharedRelevanceModel:
             topics=("sourdough",),
         )
         reg.add_fact(fact)
-        after = reg.derived(RelevanceModel)
-        assert after is not before and after is reg.derived(RelevanceModel)
+        after = reg.relevance_model(RelevanceModel)
+        assert after is not before and after is reg.relevance_model(RelevanceModel)
         picked = after.select([fact], "How often do sourdough starters need feeding?")
         assert [sf.fact.fact_id for sf in picked] == ["test.sourdough"]
         assert after.topic_weight("sourdough") != 1.0  # 1.0 is the unknown-topic weight

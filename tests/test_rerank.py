@@ -16,12 +16,14 @@ from hypothesis import given, settings, strategies as st
 import repro
 from repro.api import open_engine, resolve_artifact
 from repro.config import ReproConfig, RetrievalConfig, ShardingConfig
+from repro.context import RequestContext
 from repro.corpus.builder import CorpusBundle
 from repro.documents import Document
 from repro.errors import RerankError
 from repro.evaluation import krylov_benchmark
 from repro.index import build_index, clear_index_cache
 from repro.ingest import ingest_corpus
+from repro.llm.latency import TokenBurnCollector
 from repro.pipeline.rag import pipeline_from_artifact
 from repro.rerank import (
     FlashrankLiteReranker,
@@ -145,6 +147,31 @@ class TestRerankers:
         rr = NvidiaSimReranker(DOCS, batch_size=2)
         scores = rr.score_pairs("gmres restart", [d.text for d in DOCS] * 3)
         assert len(scores) == 9
+
+
+class TestSimulatedLatency:
+    @pytest.mark.parametrize("cls", [FlashrankLiteReranker, NvidiaSimReranker])
+    def test_batched_serving_defers_pair_cost_without_tokens(self, cls):
+        collector = TokenBurnCollector()
+        ctx = RequestContext.create(burn_collector=collector)
+        rr = cls(DOCS, simulate_latency=True)
+        out = rr.rerank("gmres restart", _hits(DOCS), top_n=2, ctx=ctx)
+        assert collector.pending() == (0, len(DOCS) * cls.iterations_per_pair)
+        plain = cls(DOCS).rerank("gmres restart", _hits(DOCS), top_n=2, ctx=ctx)
+        assert [r.rerank_score for r in out] == [r.rerank_score for r in plain]
+        assert collector.pending() == (0, len(DOCS) * cls.iterations_per_pair)
+
+    def test_cpu_reranker_is_the_cheaper_model(self):
+        assert 0 < FlashrankLiteReranker.iterations_per_pair < NvidiaSimReranker.iterations_per_pair
+
+    @pytest.mark.parametrize("iterations_per_token, simulated", [(None, True), (0, False)])
+    def test_pipeline_follows_the_chat_model_burn(
+        self, served_artifact, iterations_per_token, simulated
+    ):
+        cfg, artifact = served_artifact
+        cfg = ReproConfig(iterations_per_token=iterations_per_token, retrieval=cfg.retrieval)
+        reranker = pipeline_from_artifact(artifact, cfg, mode="rag+rerank").reranker
+        assert reranker.simulate_latency is simulated
 
 
 class TestRerankingRetriever:
